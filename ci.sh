@@ -81,7 +81,7 @@ echo "== fuzz seed smoke =="
 # -run=Fuzz executes every fuzz target once per seed corpus entry,
 # without the fuzzing engine; crashes here mean a regressed parser,
 # model loader, or quantizer.
-go test -run=Fuzz ./internal/layout/ ./internal/gdsii/ ./internal/nn/ ./internal/tensor/
+go test -run=Fuzz ./internal/layout/ ./internal/gdsii/ ./internal/nn/ ./internal/tensor/ ./internal/durable/
 
 echo "== trace store race =="
 # The trace store and tail sampler are hit from every request

@@ -10,6 +10,7 @@ import (
 	"path/filepath"
 	"testing"
 
+	"github.com/golitho/hsd/internal/durable"
 	"github.com/golitho/hsd/internal/faultinject"
 )
 
@@ -337,7 +338,7 @@ func TestCheckpointTornWriteFallback(t *testing.T) {
 	}
 
 	// Bit flips anywhere in the payload must also be detected.
-	for _, flip := range []int{0, len(ckptMagic), len(ckptMagic) + frameHeaderLen, len(full) / 2, len(full) - 1} {
+	for _, flip := range []int{0, len(ckptFormat.Magic()), len(ckptFormat.Magic()) + durable.FrameHeaderLen, len(full) / 2, len(full) - 1} {
 		bad := append([]byte(nil), full...)
 		bad[flip] ^= 0x40
 		if err := os.WriteFile(newest, bad, 0o644); err != nil {

@@ -3,8 +3,9 @@ package nn
 import (
 	"bytes"
 	"encoding/binary"
-	"hash/crc32"
 	"testing"
+
+	"github.com/golitho/hsd/internal/durable"
 )
 
 // fuzzSeedNet trains nothing but exercises every serializable layer
@@ -26,12 +27,7 @@ func fuzzSeedNet(f *testing.F) *Network {
 // can reach the gob decoder instead of bouncing off the checksum.
 func reframe(magic, payload []byte) []byte {
 	var buf bytes.Buffer
-	header := make([]byte, len(magic)+frameHeaderLen)
-	copy(header, magic)
-	binary.BigEndian.PutUint64(header[len(magic):], uint64(len(payload)))
-	binary.BigEndian.PutUint32(header[len(magic)+8:], crc32.ChecksumIEEE(payload))
-	buf.Write(header)
-	buf.Write(payload)
+	_ = durable.WriteFrame(&buf, magic, payload)
 	return buf.Bytes()
 }
 
@@ -45,17 +41,17 @@ func FuzzLoadNetwork(f *testing.F) {
 	}
 	valid := buf.Bytes()
 	f.Add(valid)
-	f.Add(valid[:len(valid)/2])       // torn mid-payload
-	f.Add(valid[:len(fileMagic)+4])   // torn mid-header
-	f.Add([]byte{})                   // empty
-	f.Add([]byte("HSDNNv2\n"))        // magic only
-	f.Add([]byte("not a model file")) // legacy path: raw gob attempt
+	f.Add(valid[:len(valid)/2])             // torn mid-payload
+	f.Add(valid[:len(netFormat.Magic())+4]) // torn mid-header
+	f.Add([]byte{})                         // empty
+	f.Add([]byte("HSDNNv2\n"))              // magic only
+	f.Add([]byte("not a model file"))       // legacy path: raw gob attempt
 	// CRC-consistent frames with hostile payloads reach the gob layer.
-	f.Add(reframe(fileMagic, []byte("garbage gob")))
-	f.Add(reframe(fileMagic, valid[len(fileMagic)+frameHeaderLen:len(fileMagic)+frameHeaderLen+32]))
+	f.Add(reframe(netFormat.Magic(), []byte("garbage gob")))
+	f.Add(reframe(netFormat.Magic(), valid[len(netFormat.Magic())+durable.FrameHeaderLen:len(netFormat.Magic())+durable.FrameHeaderLen+32]))
 	// Implausible declared size must be rejected before allocation.
-	huge := append([]byte(nil), valid[:len(fileMagic)+frameHeaderLen]...)
-	binary.BigEndian.PutUint64(huge[len(fileMagic):], 1<<40)
+	huge := append([]byte(nil), valid[:len(netFormat.Magic())+durable.FrameHeaderLen]...)
+	binary.BigEndian.PutUint64(huge[len(netFormat.Magic()):], 1<<40)
 	f.Add(huge)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -102,10 +98,10 @@ func FuzzLoadCheckpoint(f *testing.F) {
 	valid := buf.Bytes()
 	f.Add(valid)
 	f.Add(valid[:len(valid)/2])
-	f.Add(valid[:len(ckptMagic)+6])
+	f.Add(valid[:len(ckptFormat.Magic())+6])
 	f.Add([]byte{})
 	f.Add([]byte("HSDCKv1\n"))
-	f.Add(reframe(ckptMagic, []byte("garbage gob")))
+	f.Add(reframe(ckptFormat.Magic(), []byte("garbage gob")))
 	// A network file is not a checkpoint and vice versa.
 	var netBuf bytes.Buffer
 	if err := Save(&netBuf, fuzzSeedNet(f)); err != nil {
