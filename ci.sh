@@ -79,9 +79,9 @@ echo "== scan smoke =="
 
 echo "== fuzz seed smoke =="
 # -run=Fuzz executes every fuzz target once per seed corpus entry,
-# without the fuzzing engine; crashes here mean a regressed parser,
-# model loader, or quantizer.
-go test -run=Fuzz ./internal/layout/ ./internal/gdsii/ ./internal/nn/ ./internal/tensor/ ./internal/durable/
+# without the fuzzing engine; crashes here mean a regressed parser or
+# model loader.
+go test -run=Fuzz ./internal/layout/ ./internal/gdsii/ ./internal/nn/ ./internal/durable/
 
 echo "== trace store race =="
 # The trace store and tail sampler are hit from every request

@@ -24,9 +24,8 @@ import (
 	"time"
 
 	hsd "github.com/golitho/hsd"
+	"github.com/golitho/hsd/internal/cliflag"
 	"github.com/golitho/hsd/internal/experiments"
-	"github.com/golitho/hsd/internal/nn"
-	"github.com/golitho/hsd/internal/telemetry"
 	"github.com/golitho/hsd/internal/trace"
 )
 
@@ -38,32 +37,27 @@ func main() {
 }
 
 func run() error {
-	suitePath := flag.String("suite", "", "suite gob file (empty = generate)")
-	seed := flag.Int64("seed", 1, "generation seed when -suite is empty")
+	model := cliflag.NewModel(flag.CommandLine, cliflag.ModelHelp{
+		Suite: "suite gob file (empty = generate)",
+		Bench: "benchmark for figures (default: first)",
+		Seed:  "generation seed when -suite is empty",
+	})
 	small := flag.Bool("small", false, "generate the miniature suite")
 	figures := flag.Bool("figures", false, "also regenerate figure data (slower)")
-	figBench := flag.String("bench", "", "benchmark for figures (default: first)")
 	noODST := flag.Bool("no-odst", false, "skip lithography verification of flagged clips")
 	traceOut := flag.String("trace", "", "write per-evaluation Chrome trace_event JSON to this file (about:tracing / ui.perfetto.dev)")
-	precFlag := flag.String("precision", "float64", "inference precision for the neural zoo detectors (float64, float32, int8); tables then measure the quantized serving path")
-	routerLo := flag.Float64("router-lo", -1, "router: force the low confidence cut (with -router-hi)")
-	routerHi := flag.Float64("router-hi", -1, "router: force the high confidence cut (with -router-lo)")
-	routerEps := flag.Float64("router-eps", 0, "router: per-stage answered-error budget for band fitting (0 = default)")
-	version := flag.Bool("version", false, "print build info (the hotspot_build_info fields) and exit")
+	routerFlags := cliflag.NewRouter(flag.CommandLine, false)
+	version := cliflag.NewVersion(flag.CommandLine, "hsdeval", cliflag.VersionHelp)
 	flag.Parse()
 
-	if *version {
-		goVersion, revision := telemetry.BuildInfo()
-		fmt.Printf("hsdeval go_version=%s revision=%s\n", goVersion, revision)
+	if version.Print() {
 		return nil
 	}
-
-	prec, err := nn.ParsePrecision(*precFlag)
-	if err != nil {
+	if err := routerFlags.Validate(); err != nil {
 		return err
 	}
 
-	suite, err := loadOrGenerate(*suitePath, *seed, *small)
+	suite, err := loadOrGenerate(model, *small)
 	if err != nil {
 		return err
 	}
@@ -77,46 +71,17 @@ func run() error {
 		}
 	}
 
-	zoo := hsd.SurveyZoo(*seed)
-	if prec != nn.Float64 {
-		// Neural detectors remember the precision across Fit: training
-		// stays float64 and the network is compressed when it completes,
-		// so the tables measure the reduced-precision serving path.
-		for i := range zoo {
-			inner := zoo[i].New
-			zoo[i].New = func() hsd.Detector {
-				det := inner()
-				if nd, ok := det.(*hsd.NeuralDetector); ok {
-					if err := nd.SetPrecision(prec); err != nil {
-						fmt.Fprintf(os.Stderr, "hsdeval: %s: %v\n", nd.Name(), err)
-					}
-				}
-				return det
+	zoo := hsd.SurveyZoo(model.Seed)
+	for i := range zoo {
+		// The zoo's Router entry picks up the forced band and error
+		// budget at construction; the other entries ignore the flags.
+		inner := zoo[i].New
+		zoo[i].New = func() hsd.Detector {
+			det := inner()
+			if _, ok := det.(*hsd.RouterDetector); ok {
+				_ = routerFlags.Apply(det) // validated above; a Router takes any band
 			}
-		}
-		fmt.Printf("neural detectors serve at %s precision\n\n", prec)
-	}
-	if (*routerLo >= 0) != (*routerHi >= 0) {
-		return fmt.Errorf("-router-lo and -router-hi must be set together")
-	}
-	if *routerLo >= 0 || *routerEps > 0 {
-		// Same wrapping pattern as -precision: the zoo's Router spec
-		// picks up the forced band / error budget at construction.
-		lo, hi, eps := *routerLo, *routerHi, *routerEps
-		for i := range zoo {
-			inner := zoo[i].New
-			zoo[i].New = func() hsd.Detector {
-				det := inner()
-				if rt, ok := det.(*hsd.RouterDetector); ok {
-					if eps > 0 {
-						rt.SetMaxStageError(eps)
-					}
-					if lo >= 0 {
-						rt.ForceBand(hsd.RouterBand{Lo: lo, Hi: hi})
-					}
-				}
-				return det
-			}
+			return det
 		}
 	}
 	ctx := context.Background()
@@ -158,31 +123,32 @@ func run() error {
 	fmt.Printf("zoo evaluation took %v\n\n", time.Since(t0).Round(time.Second))
 
 	if *figures {
-		bench := *figBench
-		if bench == "" {
-			bench = suite.Benchmarks[0].Name
+		b, err := model.Benchmark(suite)
+		if err != nil {
+			return err
 		}
+		bench := b.Name
 		roc, err := experiments.ROCFig(suite, bench, results)
 		if err != nil {
 			return err
 		}
 		fmt.Println(roc)
-		bias, err := experiments.BiasSweep(suite, bench, *seed, []float64{0, 0.1, 0.2, 0.3, 0.4})
+		bias, err := experiments.BiasSweep(suite, bench, model.Seed, []float64{0, 0.1, 0.2, 0.3, 0.4})
 		if err != nil {
 			return err
 		}
 		fmt.Println(bias)
-		imb, err := experiments.ImbalanceSweep(suite, bench, *seed, []int{1, 2, 4, 8})
+		imb, err := experiments.ImbalanceSweep(suite, bench, model.Seed, []int{1, 2, 4, 8})
 		if err != nil {
 			return err
 		}
 		fmt.Println(imb)
-		conv, err := experiments.Convergence(suite, bench, *seed)
+		conv, err := experiments.Convergence(suite, bench, model.Seed)
 		if err != nil {
 			return err
 		}
 		fmt.Println(conv)
-		odst, err := experiments.ODSTScaling(suite, *seed, []int{8192, 16384, 32768})
+		odst, err := experiments.ODSTScaling(suite, model.Seed, []int{8192, 16384, 32768})
 		if err != nil {
 			return err
 		}
@@ -191,18 +157,13 @@ func run() error {
 	return nil
 }
 
-func loadOrGenerate(path string, seed int64, small bool) (*hsd.Suite, error) {
-	if path != "" {
-		f, err := os.Open(path)
-		if err != nil {
-			return nil, err
-		}
-		defer f.Close()
-		return hsd.LoadSuite(f)
+func loadOrGenerate(model *cliflag.Model, small bool) (*hsd.Suite, error) {
+	if model.SuitePath != "" {
+		return model.LoadSuite()
 	}
-	cfg := hsd.DefaultSuiteConfig(seed)
+	cfg := hsd.DefaultSuiteConfig(model.Seed)
 	if small {
-		cfg = hsd.SmallSuiteConfig(seed)
+		cfg = hsd.SmallSuiteConfig(model.Seed)
 	}
 	fmt.Println("generating suite (use benchgen + -suite to cache)...")
 	return hsd.GenerateSuite(cfg)

@@ -33,6 +33,7 @@ import (
 	"time"
 
 	hsd "github.com/golitho/hsd"
+	"github.com/golitho/hsd/internal/cliflag"
 	"github.com/golitho/hsd/internal/core"
 	"github.com/golitho/hsd/internal/datengine"
 	"github.com/golitho/hsd/internal/layout"
@@ -49,10 +50,14 @@ func main() {
 }
 
 func run() error {
-	suitePath := flag.String("suite", "suite.gob", "suite gob file")
-	benchName := flag.String("bench", "", "benchmark name (default: first)")
-	detName := flag.String("detector", "MLP", "zoo detector name (must be neural: the retrained model is saved and gate-loaded)")
-	seed := flag.Int64("seed", 1, "training seed (base model and every retrain)")
+	model := cliflag.NewModel(flag.CommandLine, cliflag.ModelHelp{
+		SuiteDefault:    "suite.gob",
+		Suite:           "suite gob file",
+		Bench:           "benchmark name (default: first)",
+		DetectorDefault: "MLP",
+		Detector:        "zoo detector name (must be neural: the retrained model is saved and gate-loaded)",
+		Seed:            "training seed (base model and every retrain)",
+	})
 	walPath := flag.String("wal", "learn.wal", "active-learning journal; every stage outcome lands here before the next stage runs")
 	resume := flag.Bool("resume", false, "continue an existing -wal after a crash or kill")
 	batch := flag.Int("batch", 8, "labeling batch size (k-center diverse selection)")
@@ -65,12 +70,10 @@ func run() error {
 	maxRecallDrop := flag.Float64("max-recall-drop", 0.05, "max golden-set recall a retrained model may lose vs. the live model")
 	maxFARRise := flag.Float64("max-far-rise", 0.05, "max golden-set false-alarm rate a retrained model may add")
 	labelDelay := flag.Duration("label-delay", 0, "artificial pause before each oracle call (chaos hook: widens the kill window for scripts/learn_smoke.sh)")
-	version := flag.Bool("version", false, "print build info and exit")
+	version := cliflag.NewVersion(flag.CommandLine, "hsdlearn", "print build info and exit")
 	flag.Parse()
 
-	if *version {
-		goVersion, revision := telemetry.BuildInfo()
-		fmt.Printf("hsdlearn go_version=%s revision=%s\n", goVersion, revision)
+	if version.Print() {
 		return nil
 	}
 
@@ -83,38 +86,13 @@ func run() error {
 		return fmt.Errorf("WAL %s already exists; pass -resume to continue it, or remove it for a fresh run", *walPath)
 	}
 
-	f, err := os.Open(*suitePath)
+	_, bench, err := model.Open()
 	if err != nil {
 		return err
 	}
-	suite, err := hsd.LoadSuite(f)
-	f.Close()
+	spec, err := model.Spec(model.Detector)
 	if err != nil {
 		return err
-	}
-	var bench *hsd.Benchmark
-	for i := range suite.Benchmarks {
-		if *benchName == "" || suite.Benchmarks[i].Name == *benchName {
-			bench = &suite.Benchmarks[i]
-			break
-		}
-	}
-	if bench == nil {
-		return fmt.Errorf("benchmark %q not found", *benchName)
-	}
-
-	var spec *hsd.DetectorSpec
-	var names []string
-	for _, s := range hsd.SurveyZoo(*seed) {
-		names = append(names, s.Name)
-		if strings.EqualFold(s.Name, *detName) {
-			sc := s
-			spec = &sc
-			break
-		}
-	}
-	if spec == nil {
-		return fmt.Errorf("detector %q not in zoo (have: %s)", *detName, strings.Join(names, ", "))
 	}
 
 	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
@@ -144,7 +122,7 @@ func run() error {
 	// Ship path: the identical registry gate hsdserve runs on hot
 	// reload — golden subset of the test split, recall/FAR tolerance,
 	// loader through the base detector's feature pipeline.
-	golden := goldenSet(bench, *goldenN)
+	golden := cliflag.GoldenSet(bench, *goldenN)
 	reg := registry.New(base, registry.Config{
 		Golden:            golden,
 		MaxRecallDrop:     *maxRecallDrop,
@@ -297,32 +275,4 @@ func labelSuffix(labels []telemetry.Label) string {
 		parts[i] = l.Key + "=" + l.Value
 	}
 	return "{" + strings.Join(parts, ",") + "}"
-}
-
-// goldenSet picks up to n clips from the benchmark's test split for the
-// ship gate, keeping both classes represented so recall and
-// false-alarm deltas are both measurable.
-func goldenSet(bench *hsd.Benchmark, n int) []hsd.LabeledClip {
-	if n <= 0 {
-		return nil
-	}
-	all := hsd.FromSamples(bench.Test.Samples)
-	var hot, cold []hsd.LabeledClip
-	for _, s := range all {
-		if s.Hotspot {
-			hot = append(hot, s)
-		} else {
-			cold = append(cold, s)
-		}
-	}
-	out := make([]hsd.LabeledClip, 0, n)
-	for i := 0; len(out) < n && (i < len(hot) || i < len(cold)); i++ {
-		if i < len(hot) {
-			out = append(out, hot[i])
-		}
-		if len(out) < n && i < len(cold) {
-			out = append(out, cold[i])
-		}
-	}
-	return out
 }

@@ -35,8 +35,8 @@ import (
 	"time"
 
 	hsd "github.com/golitho/hsd"
+	"github.com/golitho/hsd/internal/cliflag"
 	"github.com/golitho/hsd/internal/qualitymon"
-	"github.com/golitho/hsd/internal/telemetry"
 	"github.com/golitho/hsd/internal/trace"
 )
 
@@ -48,13 +48,17 @@ func main() {
 }
 
 func run() error {
-	suitePath := flag.String("suite", "suite.gob", "suite gob file for training")
-	benchName := flag.String("bench", "", "training benchmark (default: first)")
-	detName := flag.String("detector", "AdaBoost", "zoo detector name")
+	model := cliflag.NewModel(flag.CommandLine, cliflag.ModelHelp{
+		SuiteDefault:    "suite.gob",
+		Suite:           "suite gob file for training",
+		Bench:           "training benchmark (default: first)",
+		DetectorDefault: "AdaBoost",
+		Detector:        "zoo detector name",
+		Seed:            "training seed",
+	})
 	chipPath := flag.String("chip", "", "chip layout in GLT format (empty = generate)")
 	genEdge := flag.Int("gen-edge", 16384, "generated chip edge in nm when -chip is empty")
 	genSeed := flag.Int64("gen-seed", 42, "generated chip seed")
-	seed := flag.Int64("seed", 1, "training seed")
 	verify := flag.Bool("verify", false, "verify findings with lithography simulation")
 	topN := flag.Int("top", 20, "print at most this many findings")
 	metrics := flag.Bool("metrics", false, "print scan telemetry snapshot after scanning")
@@ -65,16 +69,12 @@ func run() error {
 	resume := flag.Bool("resume", false, "resume from -journal, skipping shards it records")
 	cacheSize := flag.Int("cache-size", 4096, "content-addressed clip cache capacity in entries (0 disables)")
 	findingsOut := flag.String("findings", "", "write findings deterministically, one per line, to this file")
-	routerLo := flag.Float64("router-lo", -1, "router: force the low confidence cut (with -router-hi; -detector Router)")
-	routerHi := flag.Float64("router-hi", -1, "router: force the high confidence cut (with -router-lo; -detector Router)")
-	routerEps := flag.Float64("router-eps", 0, "router: per-stage answered-error budget for band fitting (0 = default)")
+	routerFlags := cliflag.NewRouter(flag.CommandLine, true)
 	qualityBaseline := flag.String("quality-baseline", "", "training-score baseline (from hsdtrain -quality-baseline); prints a drift report over the scanned windows")
-	version := flag.Bool("version", false, "print build info (the hotspot_build_info fields) and exit")
+	version := cliflag.NewVersion(flag.CommandLine, "hsdscan", cliflag.VersionHelp)
 	flag.Parse()
 
-	if *version {
-		goVersion, revision := telemetry.BuildInfo()
-		fmt.Printf("hsdscan go_version=%s revision=%s\n", goVersion, revision)
+	if version.Print() {
 		return nil
 	}
 
@@ -82,36 +82,13 @@ func run() error {
 		return fmt.Errorf("-resume requires -journal")
 	}
 
-	f, err := os.Open(*suitePath)
+	_, bench, err := model.Open()
 	if err != nil {
 		return err
 	}
-	suite, err := hsd.LoadSuite(f)
-	f.Close()
+	spec, err := model.Spec(model.Detector)
 	if err != nil {
 		return err
-	}
-	var bench *hsd.Benchmark
-	for i := range suite.Benchmarks {
-		if *benchName == "" || suite.Benchmarks[i].Name == *benchName {
-			bench = &suite.Benchmarks[i]
-			break
-		}
-	}
-	if bench == nil {
-		return fmt.Errorf("benchmark %q not found", *benchName)
-	}
-
-	var spec *hsd.DetectorSpec
-	for _, s := range hsd.SurveyZoo(*seed) {
-		if strings.EqualFold(s.Name, *detName) {
-			sc := s
-			spec = &sc
-			break
-		}
-	}
-	if spec == nil {
-		return fmt.Errorf("detector %q not in zoo", *detName)
 	}
 
 	var chip *hsd.Layout
@@ -139,21 +116,10 @@ func run() error {
 	}
 
 	det := spec.New()
+	if err := routerFlags.Apply(det); err != nil {
+		return err
+	}
 	rt, isRouter := det.(*hsd.RouterDetector)
-	if !isRouter && (*routerLo >= 0 || *routerHi >= 0 || *routerEps > 0) {
-		return fmt.Errorf("-router-* flags need -detector Router (got %s)", det.Name())
-	}
-	if isRouter {
-		if *routerEps > 0 {
-			rt.SetMaxStageError(*routerEps)
-		}
-		if (*routerLo >= 0) != (*routerHi >= 0) {
-			return fmt.Errorf("-router-lo and -router-hi must be set together")
-		}
-		if *routerLo >= 0 {
-			rt.ForceBand(hsd.RouterBand{Lo: *routerLo, Hi: *routerHi})
-		}
-	}
 	t0 := time.Now()
 	train := hsd.AugmentMinority(hsd.FromSamples(bench.Train.Samples), spec.Augment)
 	if err := det.Fit(train); err != nil {

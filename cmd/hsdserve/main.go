@@ -71,15 +71,14 @@ import (
 	"time"
 
 	hsd "github.com/golitho/hsd"
+	"github.com/golitho/hsd/internal/cliflag"
 	"github.com/golitho/hsd/internal/core"
 	"github.com/golitho/hsd/internal/datengine"
 	"github.com/golitho/hsd/internal/layout"
 	"github.com/golitho/hsd/internal/lithosim"
 	"github.com/golitho/hsd/internal/nn"
 	"github.com/golitho/hsd/internal/qualitymon"
-	"github.com/golitho/hsd/internal/registry"
 	"github.com/golitho/hsd/internal/serve"
-	"github.com/golitho/hsd/internal/telemetry"
 	"github.com/golitho/hsd/internal/tensor"
 	"github.com/golitho/hsd/internal/trace"
 )
@@ -91,24 +90,12 @@ func main() {
 	}
 }
 
-// trainDetector trains one zoo detector by name on the benchmark. A
-// non-nil configure hook runs on the freshly built detector before Fit
-// (the router threshold flags apply through it).
-func trainDetector(name string, seed int64, bench *hsd.Benchmark, configure func(core.Detector) error) (core.Detector, error) {
-	var spec *hsd.DetectorSpec
-	for _, s := range hsd.SurveyZoo(seed) {
-		if strings.EqualFold(s.Name, name) {
-			sc := s
-			spec = &sc
-			break
-		}
-	}
-	if spec == nil {
-		return nil, fmt.Errorf("detector %q not in zoo", name)
-	}
+// trainDetector trains the zoo detector spec on the benchmark. Non-nil
+// router flags are applied to the fresh detector before Fit.
+func trainDetector(spec hsd.DetectorSpec, bench *hsd.Benchmark, routerFlags *cliflag.Router) (core.Detector, error) {
 	det := spec.New()
-	if configure != nil {
-		if err := configure(det); err != nil {
+	if routerFlags != nil {
+		if err := routerFlags.Apply(det); err != nil {
 			return nil, err
 		}
 	}
@@ -121,44 +108,20 @@ func trainDetector(name string, seed int64, bench *hsd.Benchmark, configure func
 	return det, nil
 }
 
-// goldenSet picks up to n clips from the benchmark's test split for the
-// reload gate, keeping both classes represented so recall and
-// false-alarm deltas are both measurable.
-func goldenSet(bench *hsd.Benchmark, n int) []hsd.LabeledClip {
-	if n <= 0 {
-		return nil
-	}
-	all := hsd.FromSamples(bench.Test.Samples)
-	var hot, cold []hsd.LabeledClip
-	for _, s := range all {
-		if s.Hotspot {
-			hot = append(hot, s)
-		} else {
-			cold = append(cold, s)
-		}
-	}
-	out := make([]hsd.LabeledClip, 0, n)
-	for i := 0; len(out) < n && (i < len(hot) || i < len(cold)); i++ {
-		if i < len(hot) {
-			out = append(out, hot[i])
-		}
-		if len(out) < n && i < len(cold) {
-			out = append(out, cold[i])
-		}
-	}
-	return out
-}
-
 func run() error {
-	suitePath := flag.String("suite", "suite.gob", "suite gob file for training")
-	benchName := flag.String("bench", "", "training benchmark (default: first)")
-	detName := flag.String("detector", "AdaBoost", "zoo detector name (primary)")
+	model := cliflag.NewModel(flag.CommandLine, cliflag.ModelHelp{
+		SuiteDefault:    "suite.gob",
+		Suite:           "suite gob file for training",
+		Bench:           "training benchmark (default: first)",
+		DetectorDefault: "AdaBoost",
+		Detector:        "zoo detector name (primary)",
+		Seed:            "training seed",
+	})
 	fallbackName := flag.String("fallback", "", "zoo detector serving degraded verdicts when the primary fails (empty: no fallback)")
 	deadline := flag.Duration("deadline", 0, "per-request compute budget for /score and /verify (0: unlimited)")
 	shedRate := flag.Float64("shed-rate", 0, "admission-control rate in requests/sec; excess gets 429 (0: no shedding)")
 	batchSize := flag.Int("batch-size", 32, "max POST /batch requests coalesced into one scoring pass")
 	batchWait := flag.Duration("batch-wait", 2*time.Millisecond, "max time a /batch request waits for the batch to fill")
-	seed := flag.Int64("seed", 1, "training seed")
 	addr := flag.String("addr", ":8080", "listen address")
 	debugAddr := flag.String("debug-addr", "", "private listen address for /debug/pprof/ and the trace endpoints (empty: no debug listener)")
 	traceSample := flag.Float64("trace-sample", 1, "fraction of unflagged traces the tail sampler retains; slow/errored/degraded/shed traces are always kept")
@@ -171,11 +134,8 @@ func run() error {
 	maxFARRise := flag.Float64("max-far-rise", 0.05, "max golden-set false-alarm rate a reload candidate may add")
 	probation := flag.Int("probation", 200, "post-swap primary outcomes watched for automatic rollback (0: off)")
 	probationMaxFail := flag.Int("probation-max-failures", 5, "primary failures tolerated inside the probation window")
-	precFlag := flag.String("precision", "float64", "inference precision for a neural primary (float64, float32, int8); reduced precision must pass the golden-set tolerance gate before serving")
 	kernelWorkers := flag.Int("kernel-workers", 0, "total kernel-pool parallelism for batched inference and matmuls (0: GOMAXPROCS)")
-	routerLo := flag.Float64("router-lo", -1, "router: force the low confidence cut (with -router-hi; -detector Router)")
-	routerHi := flag.Float64("router-hi", -1, "router: force the high confidence cut (with -router-lo; -detector Router)")
-	routerEps := flag.Float64("router-eps", 0, "router: per-stage answered-error budget for band fitting (0 = default)")
+	routerFlags := cliflag.NewRouter(flag.CommandLine, true)
 	readTimeout := flag.Duration("read-timeout", 15*time.Second, "max time to read a request")
 	writeTimeout := flag.Duration("write-timeout", 60*time.Second, "max time to write a response (covers /verify simulation)")
 	idleTimeout := flag.Duration("idle-timeout", 120*time.Second, "keep-alive idle connection timeout")
@@ -188,104 +148,47 @@ func run() error {
 	qualityWindow := flag.Duration("quality-window", 10*time.Second, "quality-monitor sub-window; fast alert window is 3 of these, slow is 18")
 	learnWAL := flag.String("learn-wal", "", "active-learning candidate WAL (see hsdlearn): low-confidence scores, spot-check misses, and router escalations are mined into it; use the same -detector name when draining it with hsdlearn")
 	learnMargin := flag.Float64("learn-margin", 0.1, "with -learn-wal: mine scores within this of the threshold as low-confidence candidates")
-	version := flag.Bool("version", false, "print build info (the hotspot_build_info fields) and exit")
+	version := cliflag.NewVersion(flag.CommandLine, "hsdserve", cliflag.VersionHelp)
 	flag.Parse()
 
-	if *version {
-		goVersion, revision := telemetry.BuildInfo()
-		fmt.Printf("hsdserve go_version=%s revision=%s\n", goVersion, revision)
+	if version.Print() {
 		return nil
-	}
-
-	prec, err := nn.ParsePrecision(*precFlag)
-	if err != nil {
-		return err
 	}
 	if *kernelWorkers > 0 {
 		tensor.SetDefaultWorkers(*kernelWorkers)
 	}
 
-	f, err := os.Open(*suitePath)
+	suite, bench, err := model.Open()
 	if err != nil {
 		return err
 	}
-	suite, err := hsd.LoadSuite(f)
-	f.Close()
+	spec, err := model.Spec(model.Detector)
 	if err != nil {
 		return err
 	}
-	var bench *hsd.Benchmark
-	for i := range suite.Benchmarks {
-		if *benchName == "" || suite.Benchmarks[i].Name == *benchName {
-			bench = &suite.Benchmarks[i]
-			break
-		}
-	}
-	if bench == nil {
-		return fmt.Errorf("benchmark %q not found", *benchName)
-	}
-
-	configureRouter := func(d core.Detector) error {
-		rt, ok := d.(*hsd.RouterDetector)
-		if !ok {
-			if *routerLo >= 0 || *routerHi >= 0 || *routerEps > 0 {
-				return fmt.Errorf("-router-* flags need -detector Router (got %s)", d.Name())
-			}
-			return nil
-		}
-		if *routerEps > 0 {
-			rt.SetMaxStageError(*routerEps)
-		}
-		if (*routerLo >= 0) != (*routerHi >= 0) {
-			return fmt.Errorf("-router-lo and -router-hi must be set together")
-		}
-		if *routerLo >= 0 {
-			rt.ForceBand(hsd.RouterBand{Lo: *routerLo, Hi: *routerHi})
-		}
-		return nil
-	}
-	det, err := trainDetector(*detName, *seed, bench, configureRouter)
+	det, err := trainDetector(spec, bench, routerFlags)
 	if err != nil {
 		return err
 	}
 	var fallback core.Detector
 	if *fallbackName != "" {
-		if strings.EqualFold(*fallbackName, *detName) {
+		if strings.EqualFold(*fallbackName, model.Detector) {
 			return fmt.Errorf("fallback %q is the primary detector; pick a different (shallower) one", *fallbackName)
 		}
-		fallback, err = trainDetector(*fallbackName, *seed, bench, nil)
+		fbSpec, err := model.Spec(*fallbackName)
+		if err == nil {
+			fallback, err = trainDetector(fbSpec, bench, nil)
+		}
 		if err != nil {
 			return fmt.Errorf("fallback: %w", err)
 		}
 	}
 
-	golden := goldenSet(bench, *goldenN)
-
-	// Reduced-precision serving: compress the neural primary's network
-	// and refuse to serve unless the compressed model passes the same
-	// golden-set tolerance gate that guards hot reloads — compared
-	// against its own float64 original as the baseline.
-	if prec != nn.Float64 {
-		nd, ok := det.(*hsd.NeuralDetector)
-		if !ok {
-			return fmt.Errorf("-precision %s needs a neural primary; %s has no reduced-precision path", prec, det.Name())
-		}
-		baseline := nd.CloneDetector()
-		if err := nd.SetPrecision(prec); err != nil {
-			return err
-		}
-		verdict := registry.Gate(baseline, nd, golden, *maxRecallDrop, *maxFARRise, log.Printf)
-		if !verdict.OK {
-			return fmt.Errorf("refusing to serve at %s precision: %s", prec, verdict.Reason)
-		}
-		log.Printf("serving %s at %s precision (gate: %s)", det.Name(), prec, verdict)
-	}
+	golden := cliflag.GoldenSet(bench, *goldenN)
 
 	// Hot reload: a neural primary can be swapped for a new network saved
 	// by hsdtrain. The registry gates each candidate on a golden subset
-	// of the benchmark's test split before it may serve. A reloaded
-	// network inherits the primary's precision: WithNetwork recompresses,
-	// and the gate scores the candidate through its compressed path.
+	// of the benchmark's test split before it may serve.
 	var reload *serve.ReloadOptions
 	if nd, ok := det.(*hsd.NeuralDetector); ok {
 		reload = &serve.ReloadOptions{
@@ -394,7 +297,7 @@ func run() error {
 		// WAL. The -detector name keys the WAL meta, so mixing detectors
 		// across processes fails loudly instead of polluting the queue.
 		eng, err := datengine.Open(*learnWAL, datengine.Config{
-			Detector: *detName,
+			Detector: model.Detector,
 			Metrics:  srv.Metrics(),
 			Logf:     log.Printf,
 		})

@@ -28,11 +28,11 @@ import (
 	"fmt"
 	"os"
 	"os/signal"
-	"strings"
 	"syscall"
 	"time"
 
 	hsd "github.com/golitho/hsd"
+	"github.com/golitho/hsd/internal/cliflag"
 	"github.com/golitho/hsd/internal/core"
 	"github.com/golitho/hsd/internal/layout"
 	"github.com/golitho/hsd/internal/nn"
@@ -48,26 +48,25 @@ func main() {
 }
 
 func run() error {
-	suitePath := flag.String("suite", "suite.gob", "suite gob file")
-	benchName := flag.String("bench", "", "benchmark name (default: first)")
-	detName := flag.String("detector", "CNN-biased", "zoo detector name")
-	seed := flag.Int64("seed", 1, "training seed")
+	model := cliflag.NewModel(flag.CommandLine, cliflag.ModelHelp{
+		SuiteDefault:    "suite.gob",
+		Suite:           "suite gob file",
+		Bench:           "benchmark name (default: first)",
+		DetectorDefault: "CNN-biased",
+		Detector:        "zoo detector name",
+		Seed:            "training seed",
+	})
 	save := flag.String("save", "", "save the trained network (neural detectors only)")
 	ckptDir := flag.String("checkpoint-dir", "", "directory for periodic training checkpoints (neural detectors only)")
 	ckptEvery := flag.Int("checkpoint-every", 1, "epochs between checkpoints (with -checkpoint-dir)")
 	ckptKeep := flag.Int("checkpoint-keep", 2, "checkpoint files retained in -checkpoint-dir")
 	resume := flag.Bool("resume", false, "resume from the newest good checkpoint in -checkpoint-dir")
-	routerLo := flag.Float64("router-lo", -1, "router: force the low confidence cut (with -router-hi; -detector Router)")
-	routerHi := flag.Float64("router-hi", -1, "router: force the high confidence cut (with -router-lo; -detector Router)")
-	routerEps := flag.Float64("router-eps", 0, "router: per-stage answered-error budget for band fitting (0 = default)")
+	routerFlags := cliflag.NewRouter(flag.CommandLine, true)
 	qualityBaseline := flag.String("quality-baseline", "", "write a training-score drift baseline here; \"auto\" with -save writes the <save>.qb sidecar the server's hot reload picks up")
-	qualityBins := flag.Int("quality-bins", 20, "histogram bins per series in the -quality-baseline")
-	version := flag.Bool("version", false, "print build info (the hotspot_build_info fields) and exit")
+	version := cliflag.NewVersion(flag.CommandLine, "hsdtrain", cliflag.VersionHelp)
 	flag.Parse()
 
-	if *version {
-		goVersion, revision := telemetry.BuildInfo()
-		fmt.Printf("hsdtrain go_version=%s revision=%s\n", goVersion, revision)
+	if version.Print() {
 		return nil
 	}
 
@@ -79,39 +78,13 @@ func run() error {
 		baselinePath = qualitymon.SidecarPath(*save)
 	}
 
-	f, err := os.Open(*suitePath)
+	_, bench, err := model.Open()
 	if err != nil {
 		return err
 	}
-	suite, err := hsd.LoadSuite(f)
-	f.Close()
+	spec, err := model.Spec(model.Detector)
 	if err != nil {
 		return err
-	}
-
-	var bench *hsd.Benchmark
-	for i := range suite.Benchmarks {
-		if *benchName == "" || suite.Benchmarks[i].Name == *benchName {
-			bench = &suite.Benchmarks[i]
-			break
-		}
-	}
-	if bench == nil {
-		return fmt.Errorf("benchmark %q not found", *benchName)
-	}
-
-	var spec *hsd.DetectorSpec
-	var names []string
-	for _, s := range hsd.SurveyZoo(*seed) {
-		names = append(names, s.Name)
-		if strings.EqualFold(s.Name, *detName) {
-			sc := s
-			spec = &sc
-			break
-		}
-	}
-	if spec == nil {
-		return fmt.Errorf("detector %q not in zoo (have: %s)", *detName, strings.Join(names, ", "))
 	}
 
 	sim, err := hsd.NewSimulator(hsd.DefaultSimConfig())
@@ -119,7 +92,7 @@ func run() error {
 		return err
 	}
 	det := spec.New()
-	if err := applyRouterFlags(det, *routerLo, *routerHi, *routerEps); err != nil {
+	if err := routerFlags.Apply(det); err != nil {
 		return err
 	}
 
@@ -225,8 +198,7 @@ func run() error {
 		// The baseline describes whatever model is being shipped — for an
 		// interrupted run that is the partial model the -save block just
 		// wrote, so the sidecar stays consistent with it.
-		n, err := writeQualityBaseline(baselinePath, det,
-			hsd.FromSamples(bench.Train.Samples), *qualityBins)
+		n, err := writeQualityBaseline(baselinePath, det, hsd.FromSamples(bench.Train.Samples))
 		if err != nil {
 			return err
 		}
@@ -238,13 +210,16 @@ func run() error {
 	return nil
 }
 
+// qualityBins is the histogram bin count of every baseline series.
+const qualityBins = 20
+
 // writeQualityBaseline scores the training split through the trained
 // detector and persists the per-series score histograms hsdserve's
 // drift monitor compares live traffic against. A router additionally
 // contributes one series per cascade stage — the calibrated confidence
 // of the answering stage, captured through the quality tap — so stage
 // drift is attributable even when the blended score looks stable.
-func writeQualityBaseline(path string, det hsd.Detector, train []hsd.LabeledClip, bins int) (int, error) {
+func writeQualityBaseline(path string, det hsd.Detector, train []hsd.LabeledClip) (int, error) {
 	stageScores := map[string][]float64{}
 	if rt, ok := det.(*hsd.RouterDetector); ok {
 		rt.BindQualityTap(func(stage string, p float64, _ layout.Clip) {
@@ -261,38 +236,16 @@ func writeQualityBaseline(path string, det hsd.Detector, train []hsd.LabeledClip
 		scores = append(scores, sc)
 	}
 	b := &qualitymon.Baseline{Version: 1, Entries: []qualitymon.BaselineEntry{
-		qualitymon.NewBaselineEntry(det.Name(), "primary", scores, bins),
+		qualitymon.NewBaselineEntry(det.Name(), "primary", scores, qualityBins),
 	}}
 	for stage, ss := range stageScores {
-		b.Entries = append(b.Entries, qualitymon.NewBaselineEntry(det.Name(), stage, ss, bins))
+		b.Entries = append(b.Entries, qualitymon.NewBaselineEntry(det.Name(), stage, ss, qualityBins))
 	}
 	b.Sort()
 	if err := qualitymon.SaveBaselineFile(path, b); err != nil {
 		return 0, err
 	}
 	return len(b.Entries), nil
-}
-
-// applyRouterFlags forwards the -router-* threshold flags onto a Router
-// detector; setting them for any other detector is an error.
-func applyRouterFlags(det hsd.Detector, lo, hi, eps float64) error {
-	rt, ok := det.(*hsd.RouterDetector)
-	if !ok {
-		if lo >= 0 || hi >= 0 || eps > 0 {
-			return fmt.Errorf("-router-* flags need -detector Router (got %s)", det.Name())
-		}
-		return nil
-	}
-	if eps > 0 {
-		rt.SetMaxStageError(eps)
-	}
-	if (lo >= 0) != (hi >= 0) {
-		return fmt.Errorf("-router-lo and -router-hi must be set together")
-	}
-	if lo >= 0 {
-		rt.ForceBand(hsd.RouterBand{Lo: lo, Hi: hi})
-	}
-	return nil
 }
 
 // printRouterStats prints the per-stage routing breakdown when the

@@ -382,13 +382,6 @@ type NeuralDetector struct {
 	scale *scaler
 	net   *nn.Network
 	hist  []nn.EpochStats
-
-	// prec and infer are the reduced-precision serving state: infer is
-	// the nn.Compress result of net at prec, used by every scoring path
-	// when non-nil. The float64 net is always retained — it is the
-	// training/serialization source of truth.
-	prec  nn.Precision
-	infer *nn.Network
 }
 
 var _ Detector = (*NeuralDetector)(nil)
@@ -427,9 +420,6 @@ func (d *NeuralDetector) FitCtx(ctx context.Context, train []LabeledClip) error 
 	}
 	d.net = net
 	d.hist = hist
-	if err := d.SetPrecision(d.prec); err != nil {
-		return err
-	}
 	if ferr != nil {
 		return fmt.Errorf("core: nn fit: %w", ferr)
 	}
@@ -453,44 +443,7 @@ func (d *NeuralDetector) WithNetwork(net *nn.Network) (*NeuralDetector, error) {
 	out := *d
 	out.net = net
 	out.hist = nil
-	if err := out.SetPrecision(d.prec); err != nil {
-		return nil, err
-	}
 	return &out, nil
-}
-
-// SetPrecision selects the inference kernel tier. Float64 serves the
-// trained network directly (bit-identical scores); Float32 and Int8
-// compress it into an inference-only copy whose scores drift within the
-// quantization tolerance — callers are expected to pass the candidate
-// through registry.Gate (or an equivalent golden-set check) before
-// serving reduced precision. Callable before Fit (the choice applies to
-// every future network) or after (the current network is recompressed).
-func (d *NeuralDetector) SetPrecision(p nn.Precision) error {
-	if d.net != nil && p != nn.Float64 {
-		inf, err := nn.Compress(d.net, p)
-		if err != nil {
-			return fmt.Errorf("core: compress to %s: %w", p, err)
-		}
-		d.infer = inf
-	} else {
-		d.infer = nil
-	}
-	d.prec = p
-	return nil
-}
-
-// Precision returns the serving precision set by SetPrecision.
-func (d *NeuralDetector) Precision() nn.Precision { return d.prec }
-
-// inferNet returns the network the scoring paths use: the compressed
-// inference copy when reduced precision is active, the trained float64
-// network otherwise.
-func (d *NeuralDetector) inferNet() *nn.Network {
-	if d.infer != nil {
-		return d.infer
-	}
-	return d.net
 }
 
 // History returns the training history of the last Fit.
@@ -508,7 +461,7 @@ func (d *NeuralDetector) Score(clip layout.Clip) (float64, error) {
 	if err != nil {
 		return 0, err
 	}
-	return nn.Score(d.inferNet(), d.scale.apply(v)), nil
+	return nn.Score(d.net, d.scale.apply(v)), nil
 }
 
 // ScoreBatch implements BatchScorer through the nn batched inference
@@ -529,8 +482,7 @@ func (d *NeuralDetector) Threshold() float64 {
 }
 
 // CloneDetector implements Cloner: neural forward passes mutate layer
-// caches, so concurrent scoring needs clones. The compressed inference
-// network is stateless and immutable, so clones share it.
+// caches, so concurrent scoring needs clones.
 func (d *NeuralDetector) CloneDetector() Detector {
 	out := *d
 	if d.net != nil {

@@ -156,7 +156,7 @@ func (d *NeuralDetector) ScoreCtx(ctx context.Context, clip layout.Clip) (float6
 		return 0, errNotFitted
 	}
 	return scoreFeatures(ctx, d.Name(), d.Ex, clip, func(v []float64) float64 {
-		return nn.Score(d.inferNet(), d.scale.apply(v))
+		return nn.Score(d.net, d.scale.apply(v))
 	})
 }
 
@@ -175,5 +175,5 @@ func (d *NeuralDetector) ScoreBatchCtx(ctx context.Context, clips []layout.Clip)
 		}
 		xs[i] = d.scale.apply(v)
 	}
-	return nn.PredictBatchCtx(ctx, d.inferNet(), xs, 0)
+	return nn.PredictBatchCtx(ctx, d.net, xs, 0)
 }

@@ -1,18 +1,12 @@
 // Kernel equivalence tests for the inference fast path: the fused
-// im2col+matmul conv against the training-path Forward (bit-identical),
-// and the Compress tiers against the float64 network (float32 within
-// rounding, int8 within the quantization tolerance and bit-deterministic
-// across batch size and worker count).
+// im2col+matmul conv against the training-path Forward (bit-identical).
 
 package nn
 
 import (
 	"context"
-	"fmt"
 	"math"
 	"math/rand"
-	"strings"
-	"sync"
 	"testing"
 
 	"github.com/golitho/hsd/internal/tensor"
@@ -66,218 +60,6 @@ func TestFusedConvMatchesForward(t *testing.T) {
 	}
 }
 
-// TestCompressFloat64IsClone: Float64 "compression" is a plain clone —
-// same layer types, bit-identical scores.
-func TestCompressFloat64IsClone(t *testing.T) {
-	net := testNetworks(t, 32)["cnn-dropout"]
-	c, err := Compress(net, Float64)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(32))
-	x := randRows(rng, 5, inDim(net))
-	for i := range x {
-		a, b := Score(net, x[i]), Score(c, x[i])
-		if math.Float64bits(a) != math.Float64bits(b) {
-			t.Fatalf("clone score %d = %v, want %v", i, b, a)
-		}
-	}
-}
-
-// TestCompressFloat32Tolerance: float32 scores track the float64 scores
-// within single-precision rounding accumulated over the network depth.
-func TestCompressFloat32Tolerance(t *testing.T) {
-	rng := rand.New(rand.NewSource(33))
-	for name, net := range testNetworks(t, 33) {
-		c, err := Compress(net, Float32)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		x := randRows(rng, 40, inDim(net))
-		for i := range x {
-			want := Score(net, x[i])
-			got := Score(c, x[i])
-			if d := math.Abs(got - want); d > 1e-3 {
-				t.Fatalf("%s: clip %d float32 score %v vs float64 %v (|Δ|=%g)", name, i, got, want, d)
-			}
-		}
-	}
-}
-
-// TestCompressInt8Tolerance: int8 probability scores stay within the
-// quantization tolerance of the float64 scores. This is the statistical
-// half of the contract — the registry gate enforces the deployment-level
-// version of the same bound on golden-set recall and false-alarm rate.
-func TestCompressInt8Tolerance(t *testing.T) {
-	rng := rand.New(rand.NewSource(34))
-	for name, net := range testNetworks(t, 34) {
-		c, err := Compress(net, Int8)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		x := randRows(rng, 40, inDim(net))
-		var worst, sum float64
-		for i := range x {
-			d := math.Abs(Score(c, x[i]) - Score(net, x[i]))
-			sum += d
-			if d > worst {
-				worst = d
-			}
-		}
-		mean := sum / float64(len(x))
-		t.Logf("%s: int8 score drift worst=%.4f mean=%.4f", name, worst, mean)
-		if worst > 0.25 {
-			t.Fatalf("%s: worst int8 probability drift %.4f exceeds 0.25", name, worst)
-		}
-		if mean > 0.05 {
-			t.Fatalf("%s: mean int8 probability drift %.4f exceeds 0.05", name, mean)
-		}
-	}
-}
-
-// TestCompressedDeterminism: for both reduced precisions, PredictBatch
-// scores are bit-identical across batch size, worker count, and repeated
-// runs — float32 by the serial accumulation contract, int8 because
-// integer accumulation has no order to vary.
-func TestCompressedDeterminism(t *testing.T) {
-	rng := rand.New(rand.NewSource(35))
-	for name, net := range testNetworks(t, 35) {
-		dim := inDim(net)
-		x := randRows(rng, 70, dim)
-		for _, p := range []Precision{Float32, Int8} {
-			c, err := Compress(net, p)
-			if err != nil {
-				t.Fatalf("%s/%s: %v", name, p, err)
-			}
-			want, err := PredictBatch(c, x, 1)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, workers := range []int{2, 3, 8} {
-				for _, n := range []int{1, 33, 70} {
-					got, err := PredictBatch(c, x[:n], workers)
-					if err != nil {
-						t.Fatal(err)
-					}
-					for i := range got {
-						if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
-							t.Fatalf("%s/%s workers=%d n=%d: score %d = %v, want %v (must be deterministic)",
-								name, p, workers, n, i, got[i], want[i])
-						}
-					}
-				}
-			}
-			// Per-sample Score agrees with the batched path bitwise too.
-			for i := 0; i < 5; i++ {
-				if s := Score(c, x[i]); math.Float64bits(s) != math.Float64bits(want[i]) {
-					t.Fatalf("%s/%s: serial score %d = %v, batch %v", name, p, i, s, want[i])
-				}
-			}
-		}
-	}
-}
-
-// TestCompressedConcurrentSharedPool: compressed networks of both tiers
-// scored concurrently from many goroutines through the shared default
-// pool; under -race this proves the quantized layers and their arena
-// scratch are goroutine-confined.
-func TestCompressedConcurrentSharedPool(t *testing.T) {
-	rng := rand.New(rand.NewSource(36))
-	net := testNetworks(t, 36)["cnn-batchnorm"]
-	dim := inDim(net)
-	x := randRows(rng, 50, dim)
-	for _, p := range []Precision{Float32, Int8} {
-		c, err := Compress(net, p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want, err := PredictBatch(c, x, 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var wg sync.WaitGroup
-		errs := make(chan string, 10)
-		for g := 0; g < 10; g++ {
-			wg.Add(1)
-			go func(g int) {
-				defer wg.Done()
-				got, err := PredictBatch(c, x, 1+g%4)
-				if err != nil {
-					errs <- err.Error()
-					return
-				}
-				for i := range want {
-					if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
-						errs <- fmt.Sprintf("%s: concurrent scores diverged", p)
-						return
-					}
-				}
-			}(g)
-		}
-		wg.Wait()
-		close(errs)
-		if msg, ok := <-errs; ok {
-			t.Fatal(msg)
-		}
-	}
-}
-
-// TestCompressedLayersRefuseTraining: every compressed layer panics on
-// train-mode Forward and on Backward, and exposes no trainable params.
-func TestCompressedLayersRefuseTraining(t *testing.T) {
-	net := testNetworks(t, 37)["cnn-dropout"]
-	for _, p := range []Precision{Float32, Int8} {
-		c, err := Compress(net, p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got := c.Params(); len(got) != 0 {
-			t.Fatalf("%s: compressed network exposes %d trainable params", p, len(got))
-		}
-		for _, l := range c.Layers {
-			switch l.(type) {
-			case *DenseF32, *DenseInt8, *Conv2DF32, *Conv2DInt8:
-			default:
-				continue
-			}
-			mustPanic(t, l.Name()+" train Forward", func() {
-				l.Forward(tensor.NewMatrix(1, 1), true)
-			})
-			mustPanic(t, l.Name()+" Backward", func() {
-				l.Backward(nil)
-			})
-		}
-	}
-}
-
-func mustPanic(t *testing.T, name string, fn func()) {
-	t.Helper()
-	defer func() {
-		if recover() == nil {
-			t.Fatalf("%s did not panic", name)
-		}
-	}()
-	fn()
-}
-
-// TestCompressInt8RefusesOversizedContraction: a Dense layer whose
-// contraction length exceeds the exact-int32 accumulator bound must be
-// refused at compression time, not overflow at serve time.
-func TestCompressInt8RefusesOversizedContraction(t *testing.T) {
-	net := NewNetwork(NewDense(tensor.MaxInt8DotLen+1, 2))
-	_, err := Compress(net, Int8)
-	if err == nil {
-		t.Fatal("oversized contraction compressed without error")
-	}
-	if !strings.Contains(err.Error(), "accumulator bound") {
-		t.Fatalf("unexpected error: %v", err)
-	}
-	// The same network compresses fine to float32.
-	if _, err := Compress(net, Float32); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // TestPredictBatchCtxCancellation: a cancelled context surfaces as an
 // error with no partial result.
 func TestPredictBatchCtxCancellation(t *testing.T) {
@@ -291,19 +73,5 @@ func TestPredictBatchCtxCancellation(t *testing.T) {
 	}
 	if got != nil {
 		t.Fatal("cancelled context returned a partial result")
-	}
-}
-
-// TestParsePrecisionRoundTrip: every Precision's String form parses back
-// to itself, and junk is rejected.
-func TestParsePrecisionRoundTrip(t *testing.T) {
-	for _, p := range []Precision{Float64, Float32, Int8} {
-		got, err := ParsePrecision(p.String())
-		if err != nil || got != p {
-			t.Fatalf("ParsePrecision(%q) = %v, %v", p.String(), got, err)
-		}
-	}
-	if _, err := ParsePrecision("bf16"); err == nil {
-		t.Fatal("unknown precision accepted")
 	}
 }

@@ -1,7 +1,5 @@
 // Tests for the exported standalone Gate — the same verdict logic the
-// reload path uses, callable directly as the reduced-precision admission
-// check (hsdserve gates a compressed model against its float64 baseline
-// before serving).
+// reload path uses, called directly without a registry around it.
 
 package registry
 

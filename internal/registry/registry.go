@@ -216,10 +216,7 @@ func goldenStats(det core.Detector, clips []core.LabeledClip, scores []float64) 
 // false-alarm rate must not rise more than maxFalseAlarmRise above it.
 // Scoring panics read as rejections. An empty golden set reduces the
 // gate to the sanity checks. logf (optional) receives gate notices.
-//
-// Besides hot reloads, this is the admission check for reduced-precision
-// serving: a float32/int8-compressed model is gated against its own
-// float64 original before the server will serve it.
+// Registry.Reload runs it on every candidate.
 func Gate(live, cand core.Detector, golden []core.LabeledClip,
 	maxRecallDrop, maxFalseAlarmRise float64, logf func(format string, args ...any)) Verdict {
 	if logf == nil {

@@ -10,7 +10,7 @@ go test -timeout 60m -bench 'Fig3|Fig4|Fig5|Fig6|Ablation' -benchmem -run XXX . 
 echo "# chunk C: micro-benchmarks" >> bench_output.txt
 go test -timeout 60m -bench . -benchmem -run XXX ./internal/... >> bench_output.txt 2>&1
 echo "# chunk D: inference engine (appends trajectory to BENCH_inference.json)" >> bench_output.txt
-infer_out=$(go test -timeout 60m -bench 'PredictBatch|ParallelMatMul|MatMulKernels' -benchmem -run XXX . 2>&1)
+infer_out=$(go test -timeout 60m -bench 'PredictBatch|ParallelMatMul' -benchmem -run XXX . 2>&1)
 echo "$infer_out" >> bench_output.txt
 echo "$infer_out" | awk -v ts="$(date -u +%Y-%m-%dT%H:%M:%SZ)" '
 	/^Benchmark/ {

@@ -4,9 +4,8 @@
 # Runs hsdscan three times over the same deterministic chip:
 #
 #   1. an uninterrupted reference scan writing full.txt;
-#   2. a journaled scan that is SIGKILLed as soon as the journal shows
-#      at least one completed shard (a real crash: no cleanup, no
-#      flush, the journal is whatever fsync made durable);
+#   2. a journaled scan that is SIGKILLed as soon as the journal holds
+#      one complete shard record (a real crash: no cleanup, no flush);
 #   3. the same scan with -resume, writing resumed.txt.
 #
 # The gate: resumed.txt must be byte-identical to full.txt, and the
@@ -49,8 +48,21 @@ echo "scan smoke: journaled scan, killing mid-flight"
 	-findings "$WORK/interrupted.txt" >"$WORK/kill.log" 2>&1 &
 SCAN_PID=$!
 
-# The journal header is written at creation; a completed shard record
-# pushes the file past ~200 bytes. Kill on the first sign of one.
+# The journal is a header frame then one frame per completed shard,
+# each frame = 8-byte magic | u64 big-endian payload length | u32 CRC |
+# payload. Kill once the file holds the header frame and one complete
+# record frame, reading both lengths from their length fields.
+FRAME_HEAD=20
+
+# be_u64 FILE OFFSET prints the big-endian u64 at OFFSET in FILE.
+be_u64() {
+	n=0
+	for b in $(od -An -tu1 -j "$2" -N 8 "$1"); do
+		n=$((n * 256 + b))
+	done
+	echo "$n"
+}
+
 killed=""
 i=0
 while [ $i -lt 600 ]; do
@@ -61,10 +73,14 @@ while [ $i -lt 600 ]; do
 	if [ -f "$WORK/scan.journal" ]; then
 		size=$(wc -c <"$WORK/scan.journal")
 	fi
-	if [ "$size" -gt 200 ]; then
-		kill -9 "$SCAN_PID"
-		killed=1
-		break
+	if [ "$size" -ge $FRAME_HEAD ]; then
+		rec=$((FRAME_HEAD + $(be_u64 "$WORK/scan.journal" 8)))
+		if [ "$size" -ge $((rec + FRAME_HEAD)) ] &&
+			[ "$size" -ge $((rec + FRAME_HEAD + $(be_u64 "$WORK/scan.journal" $((rec + 8))))) ]; then
+			kill -9 "$SCAN_PID"
+			killed=1
+			break
+		fi
 	fi
 	sleep 0.05
 	i=$((i + 1))
